@@ -94,6 +94,13 @@ if [[ " $PRESETS " == *" tsan "* ]]; then
   echo "== [async] optimistic detector + recovery tests under tsan"
   ctest --preset tsan -R 'AsyncDetect|AsyncFailover' \
         --output-on-failure -j"$(nproc)"
+
+  # OWP exit-race stage: a promise transfer races its receiver's exit hook.
+  # The exit flag is written without the verifier lock when no promise
+  # exists yet and read under it by the transfer's check and commit, so the
+  # orphan-or-refuse handoff is exactly the kind of protocol TSan checks.
+  echo "== [owp] transfer vs receiver exit under tsan"
+  ctest --preset tsan -R 'OwpExitRace' --output-on-failure -j"$(nproc)"
 fi
 
 if [[ "$CHAOS" == "1" ]] && [[ " $PRESETS " == *" tsan "* ]]; then

@@ -253,8 +253,9 @@ void JoinGate::leave_join(wfg::NodeId waiter, wfg::NodeId target,
   }
   if (completed && owp_live) {
     // The completed join's obligation edge enters H: a later await must not
-    // send target's fulfilment duties back through this waiter.
-    owp_->on_join(waiter, target);
+    // send target's fulfilment duties back through this waiter. A completed
+    // join's target has run its exit hook (it precedes the Done store).
+    owp_->on_join(waiter, target, /*target_exited=*/true);
   }
 }
 
@@ -291,9 +292,10 @@ PromiseNode* JoinGate::promise_made(std::uint64_t owner_uid,
 
 TransferDecision JoinGate::promise_transfer(PromiseNode* p,
                                             std::uint64_t from_uid,
-                                            std::uint64_t to_uid) {
+                                            std::uint64_t to_uid,
+                                            const ExitFlag& to_exited) {
   if (owp_ == nullptr) return TransferDecision::Ok;  // unverified: no owners
-  switch (owp_->check_transfer(p, from_uid, to_uid)) {
+  switch (owp_->check_transfer(p, from_uid, to_exited)) {
     case TransferResult::Fulfilled:
     case TransferResult::Orphaned:
       return TransferDecision::FaultSettled;
@@ -314,7 +316,7 @@ TransferDecision JoinGate::promise_transfer(PromiseNode* p,
     deadlocks_averted_approved_.fetch_add(1, std::memory_order_relaxed);
     return TransferDecision::FaultWouldDeadlock;
   }
-  if (owp_->commit_transfer(p, to_uid)) {
+  if (owp_->commit_transfer(p, to_uid, to_exited)) {
     // Receiver died between check and commit: the promise is orphaned.
     wfg_.remove_owner_edge(pnode);
     promises_orphaned_.fetch_add(1, std::memory_order_relaxed);
@@ -474,9 +476,10 @@ void JoinGate::fulfill_committed(PromiseNode* p) {
   wfg_.remove_owner_edge(wfg::promise_node_id(p->uid()));
 }
 
-std::vector<std::uint64_t> JoinGate::task_exited(std::uint64_t uid) {
+std::vector<std::uint64_t> JoinGate::task_exited(std::uint64_t uid,
+                                                 ExitFlag& exited) {
   if (owp_ == nullptr) return {};
-  std::vector<std::uint64_t> orphans = owp_->on_task_exit(uid);
+  std::vector<std::uint64_t> orphans = owp_->on_task_exit(uid, exited);
   for (const std::uint64_t promise_uid : orphans) {
     wfg_.remove_owner_edge(wfg::promise_node_id(promise_uid));
   }

@@ -187,8 +187,10 @@ class JoinGate {
   PromiseNode* promise_made(std::uint64_t owner_uid, std::uint64_t promise_uid);
 
   /// Rules on and (if clean) commits an ownership transfer p: from → to.
+  /// `to_exited` is the receiver's exit flag.
   TransferDecision promise_transfer(PromiseNode* p, std::uint64_t from_uid,
-                                    std::uint64_t to_uid);
+                                    std::uint64_t to_uid,
+                                    const ExitFlag& to_exited);
 
   /// Rules on a blocking await. `fulfilled` short-circuits (cannot block).
   /// On a Proceed* verdict the caller MUST eventually call leave_await().
@@ -206,9 +208,10 @@ class JoinGate {
   /// Marks the promise settled in the OWP and drops its owner edge.
   void fulfill_committed(PromiseNode* p);
 
-  /// Records a task's termination; orphans every unfulfilled promise it still
-  /// owned and returns their uids so the runtime can fault their awaiters.
-  std::vector<std::uint64_t> task_exited(std::uint64_t uid);
+  /// Records a task's termination (setting its exit flag); orphans every
+  /// unfulfilled promise it still owned and returns their uids so the
+  /// runtime can fault their awaiters.
+  std::vector<std::uint64_t> task_exited(std::uint64_t uid, ExitFlag& exited);
 
   /// Releases a promise's policy state when its last handle dies.
   void promise_released(PromiseNode* p);

@@ -8,7 +8,8 @@
 // Learning is unconditional, mirroring OwpJudgment::push: the trace is
 // ground truth, so an OWP-invalid action still applies its ownership and
 // history effects after its verdict is taken. Task exits do not appear in
-// the trace model, so the replay never orphans a promise.
+// the trace model, so the replay never orphans a promise, never prunes
+// history, and records every join edge (no target is known to have exited).
 
 #include <unordered_map>
 
@@ -38,7 +39,7 @@ class OwpTraceReplay {
         return true;
       case trace::ActionKind::Join: {
         const bool ok = v_.permits_join(a.actor, a.target);
-        v_.on_join(a.actor, a.target);
+        v_.on_join(a.actor, a.target, /*target_exited=*/false);
         return ok;
       }
       case trace::ActionKind::Make:
@@ -55,8 +56,8 @@ class OwpTraceReplay {
       case trace::ActionKind::Transfer: {
         PromiseNode* p = nodes_.at(a.promise);
         const bool ok =
-            v_.check_transfer(p, a.actor, a.target) == TransferResult::Ok;
-        v_.commit_transfer(p, a.target);
+            v_.check_transfer(p, a.actor, live_) == TransferResult::Ok;
+        v_.commit_transfer(p, a.target, live_);
         return ok;
       }
       case trace::ActionKind::Await: {
@@ -73,6 +74,7 @@ class OwpTraceReplay {
 
  private:
   OwpVerifier v_;
+  const ExitFlag live_{false};  // every receiver: the trace has no exits
   std::unordered_map<trace::PromiseId, PromiseNode*> nodes_;
 };
 

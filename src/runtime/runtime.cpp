@@ -782,7 +782,8 @@ void Runtime::transfer_promise(detail::PromiseStateBase& s,
   if (to.done()) {
     throw UsageError("transfer: receiving task already terminated");
   }
-  switch (gate_.promise_transfer(s.pnode_, cur.uid(), to.uid())) {
+  switch (gate_.promise_transfer(s.pnode_, cur.uid(), to.uid(),
+                                 to.owp_exited_)) {
     case core::TransferDecision::FaultNotOwner:
       throw PolicyViolationError(
           "transfer rejected: the calling task does not own the promise");
@@ -828,7 +829,8 @@ void Runtime::promise_state_released(detail::PromiseStateBase& s) {
 }
 
 void Runtime::task_exiting(TaskBase& t) {
-  const std::vector<std::uint64_t> orphans = gate_.task_exited(t.uid());
+  const std::vector<std::uint64_t> orphans =
+      gate_.task_exited(t.uid(), t.owp_exited_);
   if (!orphans.empty()) {
     // A task that died of a fault (or was cancelled) poisons the promises
     // it leaves behind: awaiters observe the originating fault instead of a

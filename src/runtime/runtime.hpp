@@ -244,9 +244,9 @@ class Runtime {
   void transfer_promise(detail::PromiseStateBase& s, const TaskBase& to);
   void promise_state_released(detail::PromiseStateBase& s);
   /// Task-exit hook, called by TaskBase::run() *before* Done is published:
-  /// a transfer that commits after this ran observes the task in the OWP's
-  /// dead set; one that committed before is swept here. Either way no
-  /// promise is stranded on a terminated owner.
+  /// a transfer that commits after this set the task's exit flag orphans
+  /// the promise itself; one that committed before is swept here. Either
+  /// way no promise is stranded on a terminated owner.
   void task_exiting(TaskBase& t);
   /// Orphans each listed promise; when `cause` is non-null (the owner died
   /// of a fault / was cancelled) the promise is poisoned first so awaiters

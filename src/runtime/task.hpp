@@ -236,6 +236,9 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
   std::exception_ptr error_;
   std::shared_ptr<detail::CancelState> scope_;  // set at registration
   std::atomic<bool> cancel_requested_{false};
+  // Set by the ownership verifier's exit hook (core::ExitFlag); transfers
+  // read it to refuse or orphan a handoff to this task once it has exited.
+  std::atomic<bool> owp_exited_{false};
   obs::RequestContext req_ctx_;  // set at registration, immutable after
   // Pending recovery wait-break; heap cell so posting stays lock-free
   // (std::exception_ptr itself is not atomic-able). Freed by the consumer,

@@ -303,6 +303,53 @@ TEST(ContentionRuntime, SnapshotCarriesLockSitesAndWorkerBoard) {
   EXPECT_NE(text.find("workers:"), std::string::npos);
 }
 
+// Acquisitions recorded so far on `site` (0 if it was never interned).
+std::uint64_t acquisitions(const std::string& site) {
+  SiteSnapshot s;
+  return find_site(site, s) ? s.acquisitions : 0;
+}
+
+TEST(ContentionRuntime, FuturesOnlyRunNeverTakesTheOwpLock) {
+  // The ownership verifier is configured (the default) but no promise is
+  // ever made: 100k task exits must not touch its lock.
+  const std::uint64_t before = acquisitions("owp.history");
+  {
+    runtime::Runtime rt(observed());
+    ASSERT_EQ(rt.config().promise_policy, core::PromisePolicy::OWP);
+    const std::uint64_t sum = rt.root([] {
+      std::uint64_t acc = 0;
+      std::vector<runtime::Future<std::uint64_t>> fs;
+      fs.reserve(1000);
+      for (std::uint64_t batch = 0; batch < 100; ++batch) {
+        fs.clear();
+        for (std::uint64_t i = 0; i < 1000; ++i) {
+          fs.push_back(runtime::async([i] { return i; }));
+        }
+        for (auto& f : fs) acc += f.get();
+      }
+      return acc;
+    });
+    EXPECT_EQ(sum, 100u * (999u * 1000u / 2));
+    // ...and keep no OWP state at all.
+    const core::OwpVerifier* owp = rt.gate().ownership_verifier();
+    ASSERT_NE(owp, nullptr);
+    EXPECT_FALSE(owp->active());
+    EXPECT_EQ(owp->state_nodes(), 0u);
+    EXPECT_EQ(rt.owp_peak_bytes(), 0u);
+  }
+  EXPECT_EQ(acquisitions("owp.history"), before);
+
+  // The same site does count once a promise exists, so the zero above is
+  // not an artefact of a misnamed site.
+  runtime::Runtime rt(observed());
+  rt.root([] {
+    auto p = runtime::make_promise<int>();
+    p.fulfill(1);
+    return p.get();
+  });
+  EXPECT_GT(acquisitions("owp.history"), before);
+}
+
 TEST(ContentionRuntime, ObsOffRuntimeDoesNotRetainProfiling) {
   runtime::Config cfg;
   cfg.policy = core::PolicyChoice::TJ_SP;
