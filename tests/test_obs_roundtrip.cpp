@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -43,7 +44,10 @@ void expect_reparses_identically(const trace::Trace& t) {
   }
 }
 
-using AppCase = std::tuple<const char*, runtime::SchedulerMode>;
+// The app name is a string_view, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a per-process address into
+// the test's listed name.
+using AppCase = std::tuple<std::string_view, runtime::SchedulerMode>;
 
 class ObsRoundTrip : public ::testing::TestWithParam<AppCase> {};
 
