@@ -101,6 +101,13 @@ if [[ " $PRESETS " == *" tsan "* ]]; then
   # orphan-or-refuse handoff is exactly the kind of protocol TSan checks.
   echo "== [owp] transfer vs receiver exit under tsan"
   ctest --preset tsan -R 'OwpExitRace' --output-on-failure -j"$(nproc)"
+
+  # Work-stealing stage: the Chase–Lev deques hand each queued task to
+  # exactly one taker through lock-free top/bottom updates, and parking
+  # workers pair a sleeper count with the spawner's push. TSan checks the
+  # hand-off of the entry's task reference and the deque-growth copy.
+  echo "== [sched] work-stealing deques and scheduler liveness under tsan"
+  ctest --preset tsan -R 'WorkDeque' --output-on-failure -j"$(nproc)"
 fi
 
 if [[ "$CHAOS" == "1" ]] && [[ " $PRESETS " == *" tsan "* ]]; then

@@ -483,7 +483,10 @@ std::vector<std::uint64_t> JoinGate::task_exited(std::uint64_t uid,
   for (const std::uint64_t promise_uid : orphans) {
     wfg_.remove_owner_edge(wfg::promise_node_id(promise_uid));
   }
-  promises_orphaned_.fetch_add(orphans.size(), std::memory_order_relaxed);
+  // Most exits orphan nothing: skip the shared-line RMW for them.
+  if (!orphans.empty()) {
+    promises_orphaned_.fetch_add(orphans.size(), std::memory_order_relaxed);
+  }
   return orphans;
 }
 

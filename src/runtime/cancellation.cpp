@@ -11,6 +11,16 @@ namespace tj::runtime {
 
 namespace detail {
 
+namespace {
+// Each thread keeps to one stripe; threads are dealt stripes round-robin.
+std::size_t stripe_index() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t mine =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return mine;
+}
+}  // namespace
+
 CancelState::CancelState(bool cancel_on_fault,
                          std::shared_ptr<CancelState> parent,
                          const TaskBase* owner)
@@ -34,20 +44,25 @@ void CancelState::cancel(std::exception_ptr cause) {
                                           std::memory_order_acq_rel)) {
     return;  // idempotent: first canceller wins
   }
-  std::vector<std::weak_ptr<TaskBase>> tasks;
   std::vector<std::weak_ptr<CancelState>> children;
   std::vector<std::weak_ptr<CheckedBarrier>> barriers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     cause_ = cause;
-    tasks.swap(tasks_);
     children.swap(children_);
     barriers.swap(barriers_);
   }
-  for (const auto& wt : tasks) {
-    if (auto t = wt.lock()) {
-      if (t->deliver_cancel(cause)) {
-        tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);
+  for (Stripe& stripe : stripes_) {
+    std::vector<std::weak_ptr<TaskBase>> tasks;
+    {
+      std::scoped_lock lock(stripe.mu);
+      tasks.swap(stripe.tasks);
+    }
+    for (const auto& wt : tasks) {
+      if (auto t = wt.lock()) {
+        if (t->deliver_cancel(cause)) {
+          tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
   }
@@ -67,18 +82,21 @@ void CancelState::on_task_fault(const std::exception_ptr& error) {
 }
 
 void CancelState::track_task(const std::shared_ptr<TaskBase>& t) {
+  Stripe& stripe = stripes_[stripe_index() % kStripes];
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tasks_.size() == tasks_.capacity()) {
+    std::scoped_lock lock(stripe.mu);
+    std::vector<std::weak_ptr<TaskBase>>& tasks = stripe.tasks;
+    if (tasks.size() == tasks.capacity()) {
       // Amortized prune so a long-lived scope does not accumulate tombstones.
-      std::erase_if(tasks_,
+      std::erase_if(tasks,
                     [](const std::weak_ptr<TaskBase>& w) { return w.expired(); });
     }
-    tasks_.push_back(t);
+    tasks.push_back(t);
   }
   // Post-check closes the race with a concurrent cancel(): if the insert
-  // missed the canceller's snapshot, the flag is already visible here and we
-  // deliver ourselves (deliver_cancel's claim CAS makes doubles harmless).
+  // missed the canceller's sweep of this stripe, the flag is already visible
+  // here and we deliver ourselves (deliver_cancel's claim CAS makes doubles
+  // harmless).
   if (cancelled()) {
     if (t->deliver_cancel(cause())) {
       tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);

@@ -23,12 +23,16 @@
 // that scope or an enclosing one cancels. Every Runtime has an implicit
 // root scope; Config::cancel_on_fault makes it cancel on any task failure.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "obs/contention.hpp"
 
 namespace tj::runtime {
 
@@ -87,7 +91,8 @@ class CancelState {
   /// Registers a spawned task. Must be called after the task was submitted
   /// to the scheduler (cancellation force-completion pairs with submit's
   /// live-task accounting). Delivers cancellation immediately when the
-  /// scope is already cancelled.
+  /// scope is already cancelled. Takes only the calling thread's stripe
+  /// lock, never the scope-wide one: it runs on every spawn.
   void track_task(const std::shared_ptr<TaskBase>& t);
 
   /// Registers a nested scope for downward cancel propagation.
@@ -108,9 +113,20 @@ class CancelState {
   const TaskBase* owner_ = nullptr;  // exempt at join/await checkpoints
   std::atomic<bool> cancelled_{false};
   std::atomic<std::uint64_t> tasks_cancelled_{0};
+
+  // Tracked tasks, striped by spawning thread so concurrent spawns into one
+  // scope do not share a lock. cancel() sets cancelled_ before it empties
+  // the stripes, so a track_task that lands after a stripe was emptied sees
+  // the flag in its post-insert check.
+  static constexpr std::size_t kStripes = 8;
+  struct alignas(64) Stripe {
+    obs::ProfiledMutex mu{"runtime.cancel_scope"};
+    std::vector<std::weak_ptr<TaskBase>> tasks;  // guarded by mu
+  };
+  std::array<Stripe, kStripes> stripes_;
+
   mutable std::mutex mu_;
   std::exception_ptr cause_;                        // guarded by mu_
-  std::vector<std::weak_ptr<TaskBase>> tasks_;      // guarded by mu_
   std::vector<std::weak_ptr<CancelState>> children_;  // guarded by mu_
   std::vector<std::weak_ptr<CheckedBarrier>> barriers_;  // guarded by mu_
 };

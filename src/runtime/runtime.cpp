@@ -331,8 +331,11 @@ Runtime::Runtime(Config cfg)
 
 Runtime::~Runtime() {
   // All spawned tasks must finish before the scheduler can be torn down;
-  // root() already quiesces, this covers error paths.
+  // root() already quiesces, this covers error paths. Shutting the pool
+  // down here, not in ~Scheduler, drops leftover deque entries while the
+  // promise map their tasks' closures may release into still exists.
   sched_.quiesce();
+  sched_.shutdown();
   // Stop the injector's repair thread while the promise-state map is still
   // alive: an undelivered-wake closure can hold the last reference to a
   // task whose promise release erases from that map (members are destroyed

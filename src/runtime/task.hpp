@@ -20,13 +20,14 @@ namespace tj::runtime {
 
 class Runtime;
 class CancellationScope;
+class Scheduler;
 
 namespace detail {
 class CancelState;
 }
 
 enum class TaskState : std::uint32_t {
-  Queued,   ///< spawned, waiting in the scheduler queue
+  Queued,   ///< spawned, waiting in a scheduler deque
   Running,  ///< claimed by a worker (or inlined by a cooperative joiner)
   Done,     ///< terminated; result or error available
 };
@@ -206,6 +207,7 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
  private:
   friend class Runtime;
   friend class CancellationScope;
+  friend class Scheduler;
   friend class detail::CancelState;
 
   /// Delivers a cancellation request. Sets the cooperative flag; when the
@@ -244,6 +246,9 @@ class TaskBase : public std::enable_shared_from_this<TaskBase> {
   // (std::exception_ptr itself is not atomic-able). Freed by the consumer,
   // clear_wait_break(), or the destructor.
   std::atomic<std::exception_ptr*> wait_break_{nullptr};
+  // The reference a scheduler deque entry holds while this task is queued:
+  // set before the push, moved out by the one thread that takes the entry.
+  std::shared_ptr<TaskBase> queued_ref_;
 };
 
 /// Typed task: adds the result slot.

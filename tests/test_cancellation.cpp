@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -20,21 +21,25 @@ namespace {
 
 // Pins the (single) worker so everything spawned afterwards stays queued.
 // Spawn the blocker OUTSIDE any cancellation scope under test so it is not
-// itself cancelled.
+// itself cancelled. The blocker owns a share of the release flag: a join on
+// it may throw without waiting (its scope was cancelled), and the blocker
+// must not then poll a flag in the dead frame of the task that pinned it.
 struct WorkerPin {
-  std::atomic<bool> release{false};
+  std::shared_ptr<std::atomic<bool>> release =
+      std::make_shared<std::atomic<bool>>(false);
   Future<void> blocker;
   void pin() {
-    blocker = async([this] {
-      while (!release.load(std::memory_order_acquire)) {
+    blocker = async([release = release] {
+      while (!release->load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
     });
   }
   void drain() {
-    release.store(true, std::memory_order_release);
+    release->store(true, std::memory_order_release);
     blocker.join();
   }
+  ~WorkerPin() { release->store(true, std::memory_order_release); }
 };
 
 TEST(Cancellation, FaultCancelsQueuedSiblingsWithCause) {
@@ -232,7 +237,7 @@ TEST(Cancellation, ConfigCancelOnFaultCancelsTheWholeRuntime) {
     for (auto& f : rest) EXPECT_THROW((void)f.get(), CancelledError);
     // The root scope is the runtime: even the root's spawns now fault.
     EXPECT_THROW(async([] { return 1; }), CancelledError);
-    pin.release.store(true, std::memory_order_release);
+    pin.release->store(true, std::memory_order_release);
     // pin.blocker was spawned under the (now cancelled) root scope; its
     // join surfaces the cancellation rather than blocking.
     try {
@@ -253,7 +258,7 @@ TEST(Cancellation, CancelAllStopsPendingWork) {
     for (int i = 0; i < 4; ++i) fs.push_back(async([] { return 1; }));
     rt.cancel_all(std::make_exception_ptr(std::runtime_error("shutdown")));
     for (auto& f : fs) EXPECT_THROW((void)f.get(), CancelledError);
-    pin.release.store(true, std::memory_order_release);
+    pin.release->store(true, std::memory_order_release);
     try {
       pin.blocker.join();
     } catch (const CancelledError&) {

@@ -350,6 +350,30 @@ TEST(ContentionRuntime, FuturesOnlyRunNeverTakesTheOwpLock) {
   EXPECT_GT(acquisitions("owp.history"), before);
 }
 
+TEST(ContentionRuntime, SpawnsTakeTheProfiledCancelScopeStripes) {
+  // Every spawn registers its task with the scope's stripe for the spawning
+  // thread; those stripe locks are one profiled site.
+  const std::uint64_t before = acquisitions("runtime.cancel_scope");
+  runtime::Runtime rt(observed());
+  rt.root([] {
+    std::vector<runtime::Future<int>> fs;
+    for (int i = 0; i < 64; ++i) {
+      fs.push_back(runtime::async([i] {
+        // Nested spawns run wherever the outer task runs, so the stripes
+        // of several threads take part.
+        return runtime::async([i] { return i; }).get();
+      }));
+    }
+    int acc = 0;
+    for (auto& f : fs) acc += f.get();
+    return acc;
+  });
+  SiteSnapshot site;
+  ASSERT_TRUE(find_site("runtime.cancel_scope", site));
+  EXPECT_EQ(site.acquisitions, site.contended + site.uncontended);
+  EXPECT_GE(site.acquisitions - before, 128u);
+}
+
 TEST(ContentionRuntime, ObsOffRuntimeDoesNotRetainProfiling) {
   runtime::Config cfg;
   cfg.policy = core::PolicyChoice::TJ_SP;

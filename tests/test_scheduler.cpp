@@ -32,11 +32,11 @@ TEST(Cooperative, JoinerInlinesQueuedTarget) {
              .workers = 1};
   Runtime rt(cfg);
   rt.root([] {
-    // Pin the single worker on a spin-waiting blocker (spawned first, so
-    // FIFO order guarantees the worker can run nothing else meanwhile):
-    // every later task stays queued and the root's joins MUST claim them
-    // inline. Without the blocker the worker could drain all 64 trivial
-    // tasks before the first join, making the inline count flaky.
+    // Pin the single worker on a spin-waiting blocker (spawned first, and
+    // thieves steal oldest first, so the worker can run nothing else
+    // meanwhile): every later task stays queued and the root's joins MUST
+    // claim them inline. Without the blocker the worker could drain all 64
+    // trivial tasks before the first join, making the inline count flaky.
     std::atomic<bool> release{false};
     auto blocker = async([&release] {
       while (!release.load(std::memory_order_acquire)) {
