@@ -12,6 +12,12 @@
 // paths, wfg.graph on blocking edges, sched.queue on submit/dequeue — with
 // `threads` driver tasks hammering them concurrently.
 //
+// Each cell also counts the distinct OS threads that ran a driver task. A
+// cell where fewer than `threads` threads ran drivers (flagged
+// SERIAL-DRIVERS) measured drivers run back to back, not in parallel; its
+// throughput belongs to a different regime and must not be pooled with the
+// parallel cells of the same thread count.
+//
 // Output: a human table, and with --json[=FILE] the machine-readable
 // BENCH_scaling.json artifact (schema "tj-scaling-v1", documented in
 // docs/benchmarks.md). The async cell force-fails (poisoned=true, non-zero
@@ -27,6 +33,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/contention.hpp"
@@ -68,6 +75,11 @@ struct Cell {
   std::string top_site;         ///< site with the largest wait-ns delta
   std::uint64_t top_site_wait_ns = 0;
   double effective_parallelism = 0;  ///< mean workers Running (this runtime)
+  /// Distinct OS threads that ran a driver task. Below `threads`, some
+  /// drivers ran one after another on one thread (the root or a worker
+  /// inlined them), and the cell measures that serial regime instead of
+  /// `threads` parallel drivers.
+  unsigned driver_threads = 0;
   bool poisoned = false;
   std::string poison_reason;
 };
@@ -100,12 +112,15 @@ Cell run_cell(const PolicyColumn& col, unsigned threads, std::uint64_t ops) {
   const std::map<std::string, SiteSnapshot> before = registry_by_name();
 
   Runtime rt(cfg);
+  // Each driver writes its own slot; the root's joins publish them.
+  std::vector<std::thread::id> driver_ids(threads);
   const auto t0 = std::chrono::steady_clock::now();
-  rt.root([threads, ops] {
+  rt.root([threads, ops, &driver_ids] {
     std::vector<tj::runtime::Future<std::uint64_t>> drivers;
     drivers.reserve(threads);
     for (unsigned d = 0; d < threads; ++d) {
-      drivers.push_back(tj::runtime::async([ops] {
+      drivers.push_back(tj::runtime::async([ops, &id = driver_ids[d]] {
+        id = std::this_thread::get_id();
         std::uint64_t acc = 0;
         for (std::uint64_t i = 0; i < ops; ++i) {
           auto p = tj::runtime::make_promise<int>();
@@ -131,6 +146,9 @@ Cell run_cell(const PolicyColumn& col, unsigned threads, std::uint64_t ops) {
                                static_cast<double>(cell.wall_ns);
   cell.effective_parallelism =
       rt.scheduler().worker_states().totals().effective_parallelism();
+  std::sort(driver_ids.begin(), driver_ids.end());
+  cell.driver_threads = static_cast<unsigned>(
+      std::unique(driver_ids.begin(), driver_ids.end()) - driver_ids.begin());
 
   if (col.policy == PolicyChoice::Async && rt.recovery() != nullptr &&
       rt.recovery()->failed_over()) {
@@ -205,6 +223,7 @@ std::string to_json(const std::vector<Cell>& cells,
        << ",\"lock_wait_share\":" << c.lock_wait_share << ",\"top_site\":\""
        << jesc(c.top_site) << "\",\"top_site_wait_ns\":" << c.top_site_wait_ns
        << ",\"effective_parallelism\":" << c.effective_parallelism
+       << ",\"driver_threads\":" << c.driver_threads
        << ",\"poisoned\":" << (c.poisoned ? "true" : "false")
        << ",\"poison_reason\":\"" << jesc(c.poison_reason) << "\"}";
   }
@@ -266,8 +285,9 @@ int main(int argc, char** argv) {
 
   std::printf("Scaling: fork/join + promise ping, %llu ops/driver, hw=%u\n\n",
               static_cast<unsigned long long>(ops), hw);
-  std::printf("%-8s %8s %12s %10s %10s %8s  %s\n", "policy", "threads",
-              "ops/sec", "contended", "lock_wait", "eff_par", "top site");
+  std::printf("%-8s %8s %12s %10s %10s %8s %8s  %s\n", "policy", "threads",
+              "ops/sec", "contended", "lock_wait", "eff_par", "drivers",
+              "top site");
 
   std::vector<Cell> cells;
   std::vector<std::string> policies;
@@ -276,10 +296,12 @@ int main(int argc, char** argv) {
     policies.push_back(col.name);
     for (unsigned t : threads) {
       Cell c = run_cell(col, t, ops);
-      std::printf("%-8s %8u %12.0f %9.1f%% %9.1f%% %8.2f  %s%s\n",
+      std::printf("%-8s %8u %12.0f %9.1f%% %9.1f%% %8.2f %8u  %s%s%s\n",
                   c.policy.c_str(), c.threads, c.ops_per_sec,
                   100.0 * c.contended_share, 100.0 * c.lock_wait_share,
-                  c.effective_parallelism, c.top_site.c_str(),
+                  c.effective_parallelism, c.driver_threads,
+                  c.top_site.c_str(),
+                  c.driver_threads < c.threads ? "  SERIAL-DRIVERS" : "",
                   c.poisoned ? "  POISONED" : "");
       ok = ok && !c.poisoned;
       cells.push_back(std::move(c));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/verifier.hpp"
+#include "obs/contention.hpp"
 
 namespace tj::kj {
 
@@ -100,7 +101,8 @@ class KjVcVerifier final : public core::Verifier {
   std::atomic<bool> gc_active_{false};
   std::atomic<std::uint64_t> gc_epoch_{0};
   std::atomic<std::uint64_t> compactions_{0};
-  mutable std::mutex gc_mu_;
+  // Profiled ("kj-vc.gc"): every fork and every task release.
+  mutable obs::ProfiledMutex gc_mu_{"kj-vc.gc"};
   std::vector<IdInfo> info_;        // indexed by id; guarded by gc_mu_
   std::vector<bool> retired_;       // indexed by id; guarded by gc_mu_
   std::size_t retired_count_ = 0;   // guarded by gc_mu_

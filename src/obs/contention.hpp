@@ -41,6 +41,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -420,6 +421,87 @@ class ProfiledSharedMutex {
   const char* site_name_;
   std::atomic<SiteStats*> site_{nullptr};
   std::uint64_t acquired_ns_ = 0;  ///< exclusive contended holds only
+};
+
+/// One step of a busy-wait: a CPU pause, then a yield once the wait has
+/// gone on long enough that the holder may have been descheduled.
+class SpinWait {
+ public:
+  void once() {
+    if (++spins_ < kSpinsBeforeYield) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#elif defined(__aarch64__)
+      asm volatile("yield");
+#endif
+    } else {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  static constexpr unsigned kSpinsBeforeYield = 64;
+  unsigned spins_ = 0;
+};
+
+/// A one-word busy flag for critical sections a few hundred nanoseconds
+/// long, whose state a third party may poll (`held()`) without taking it.
+/// Holders spin rather than sleep. Lockable, so `std::scoped_lock` works.
+/// The flag is profiled like a ProfiledMutex: off = the bare exchange plus
+/// one relaxed load; on and uncontended = one relaxed counter increment;
+/// on and contended = two clock reads around the spin and a wait-ns record.
+/// Hold time is never recorded (a spin holder is short by construction).
+class ProfiledSpinFlag {
+ public:
+  explicit ProfiledSpinFlag(const char* site) : site_name_(site) {}
+  ProfiledSpinFlag(const ProfiledSpinFlag&) = delete;
+  ProfiledSpinFlag& operator=(const ProfiledSpinFlag&) = delete;
+
+  /// Sets the flag with a seq_cst exchange, spinning while another holder
+  /// has it. The seq_cst order is what lets a poller pair the flag with a
+  /// word of its own (see WaitsForGraph's fast path).
+  void lock() {
+    if (!busy_.exchange(true, std::memory_order_seq_cst)) {
+      if (contention_profiling_enabled()) {
+        stats()->uncontended.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
+    }
+    const bool profiled = contention_profiling_enabled();
+    const std::uint64_t t0 = profiled ? contention_now_ns() : 0;
+    SpinWait spin;
+    do {
+      while (busy_.load(std::memory_order_relaxed)) spin.once();
+    } while (busy_.exchange(true, std::memory_order_seq_cst));
+    if (profiled) {
+      SiteStats* s = stats();
+      s->contended.fetch_add(1, std::memory_order_relaxed);
+      s->wait_ns.record(contention_now_ns() - t0);
+    }
+  }
+
+  void unlock() { busy_.store(false, std::memory_order_release); }
+
+  /// True while some holder has the flag (seq_cst load, see lock()).
+  bool held() const { return busy_.load(std::memory_order_seq_cst); }
+
+  const char* site_name() const { return site_name_; }
+  /// Null until the first profiled acquisition (registry-inert when off).
+  SiteStats* site() const { return site_.load(std::memory_order_acquire); }
+
+ private:
+  SiteStats* stats() {
+    SiteStats* s = site_.load(std::memory_order_acquire);
+    if (s == nullptr) {
+      s = ContentionRegistry::instance().intern(site_name_);
+      site_.store(s, std::memory_order_release);
+    }
+    return s;
+  }
+
+  std::atomic<bool> busy_{false};
+  const char* site_name_;
+  std::atomic<SiteStats*> site_{nullptr};
 };
 
 }  // namespace tj::obs

@@ -31,7 +31,7 @@ CancelState::CancelState(bool cancel_on_fault,
 std::exception_ptr CancelState::cause() const {
   for (const CancelState* s = this; s != nullptr; s = s->parent_.get()) {
     if (s->cancelled_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(s->mu_);
+      std::scoped_lock lock(s->mu_);
       if (s->cause_) return s->cause_;
     }
   }
@@ -47,7 +47,7 @@ void CancelState::cancel(std::exception_ptr cause) {
   std::vector<std::weak_ptr<CancelState>> children;
   std::vector<std::weak_ptr<CheckedBarrier>> barriers;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::scoped_lock lock(mu_);
     cause_ = cause;
     children.swap(children_);
     barriers.swap(barriers_);
@@ -106,7 +106,7 @@ void CancelState::track_task(const std::shared_ptr<TaskBase>& t) {
 
 void CancelState::track_child(const std::shared_ptr<CancelState>& child) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::scoped_lock lock(mu_);
     children_.push_back(child);
   }
   if (cancelled()) child->cancel(cause());
@@ -114,7 +114,7 @@ void CancelState::track_child(const std::shared_ptr<CancelState>& child) {
 
 void CancelState::track_barrier(const std::weak_ptr<CheckedBarrier>& b) {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::scoped_lock lock(mu_);
     barriers_.push_back(b);
   }
   if (cancelled()) {

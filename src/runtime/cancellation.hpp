@@ -125,7 +125,9 @@ class CancelState {
   };
   std::array<Stripe, kStripes> stripes_;
 
-  mutable std::mutex mu_;
+  // Profiled ("runtime.cancel_state"): cold — cancel, child scopes and
+  // barrier registration, never a plain spawn.
+  mutable obs::ProfiledMutex mu_{"runtime.cancel_state"};
   std::exception_ptr cause_;                        // guarded by mu_
   std::vector<std::weak_ptr<CancelState>> children_;  // guarded by mu_
   std::vector<std::weak_ptr<CheckedBarrier>> barriers_;  // guarded by mu_

@@ -292,9 +292,12 @@ class Runtime {
   std::atomic<std::uint64_t> next_uid_{0};
   std::atomic<std::uint64_t> next_promise_uid_{0};
   std::atomic<bool> root_claimed_{false};
-  mutable std::mutex trace_mu_;
+  // Profiled ("runtime.trace"): one acquisition per recorded action while
+  // Config::record_trace is on.
+  mutable obs::ProfiledMutex trace_mu_{"runtime.trace"};
   std::vector<trace::Action> recorded_;  // guarded by trace_mu_
-  mutable std::mutex promises_mu_;
+  // Profiled ("runtime.promises"): every promise make and release.
+  mutable obs::ProfiledMutex promises_mu_{"runtime.promises"};
   // Live promise states by uid (for the orphan sweep).  guarded by promises_mu_
   std::unordered_map<std::uint64_t, detail::PromiseStateBase*> promises_;
 };

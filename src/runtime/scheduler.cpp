@@ -114,7 +114,11 @@ Scheduler::Lane* Scheduler::add_lane_locked() {
 
 void Scheduler::add_worker_locked(Lane* adopt) {
   Lane* lane = adopt != nullptr ? adopt : add_lane_locked();
-  threads_.emplace_back([this, lane] { worker_loop(lane); });
+  // Registered here, not on the new thread, so the board counts the worker
+  // from the moment it exists: a snapshot taken right after a short run
+  // must not miss workers whose threads had not been scheduled yet.
+  obs::WorkerSlot* slot = worker_states_.register_worker();
+  threads_.emplace_back([this, lane, slot] { worker_loop(lane, slot); });
 }
 
 void Scheduler::record_compensation_locked() {
@@ -271,13 +275,11 @@ TaskBase* Scheduler::next_entry(Lane* lane, obs::WorkerSlot* slot) {
   }
 }
 
-void Scheduler::worker_loop(Lane* lane) {
+void Scheduler::worker_loop(Lane* lane, obs::WorkerSlot* slot) {
   t_is_worker = true;
   tls_lane_ = {id_, lane};
-  // Publish this worker's state word for the timeline profile. The TLS
-  // slot also lets profiled locks report BlockedLock while this thread
+  // The TLS slot lets profiled locks report BlockedLock while this thread
   // waits on a contended runtime mutex.
-  obs::WorkerSlot* slot = worker_states_.register_worker();
   obs::tls_worker_slot() = slot;
   while (TaskBase* entry = next_entry(lane, slot)) {
     std::shared_ptr<TaskBase> task = take(entry);

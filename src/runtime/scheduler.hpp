@@ -120,7 +120,7 @@ class Scheduler {
   /// into this scheduler from outside the pool (the root thread).
   using Lane = WorkDeque<TaskBase>;
 
-  void worker_loop(Lane* lane);
+  void worker_loop(Lane* lane, obs::WorkerSlot* slot);
   /// The worker's next entry: its own bottom, else a steal, else it parks.
   /// nullptr once the scheduler stops.
   TaskBase* next_entry(Lane* lane, obs::WorkerSlot* slot);

@@ -24,7 +24,32 @@
 // insertion is cycle-checked, exactly as with probation edges; futures-only
 // programs keep the unchecked fast path. Promise nodes share the NodeId
 // space via a reserved high bit (see promise_node_id).
+//
+// Fast and slow modes. Edges live in kShards shards keyed by a hash of the
+// waiter, each a map plus a one-word busy flag, so a walk finds each edge in
+// one lookup. The graph is in *fast mode* while no probation or owner edge
+// is live and no locked operation runs; `slow_` is zero exactly then. It is
+// written only under the graph lock `mu_`.
+//   - Fast side (add_wait, add_unchecked_wait, remove_wait): if `slow_` is
+//     nonzero, take the locked path. Otherwise set the waiter's shard flag
+//     (seq_cst exchange), re-read `slow_` (seq_cst), and if it is still zero
+//     mutate the shard map and clear the flag (release). If it is not,
+//     clear the flag and take the locked path.
+//   - Slow side (every other operation but the two kind counts, which read
+//     only what `mu_` guards, and a fast one that fell back):
+//     take `mu_`; if `slow_` is zero, store a nonzero value (seq_cst) and
+//     wait, by loads only, until no shard flag is set. The holder now owns
+//     every map. On the way out it publishes `slow_` = live probation +
+//     owner edges, after its last map write (release).
+// The flag store / `slow_` load on one side and the `slow_` store / flag
+// load on the other are a Dekker pair: in the seq_cst order either the fast
+// side sees `slow_` nonzero and goes to the lock, or the slow side sees the
+// flag set and waits for the release that publishes the fast edge. So a
+// walk can never miss an approved edge, and no racing pair of inserts can
+// both be Added across a cycle. While slow edges are live `slow_` stays
+// nonzero, so a locked operation shuts the fast path with no drain.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -81,7 +106,8 @@ class WaitsForGraph {
   // atomically under the graph lock. Untouched on Added (cold path only).
 
   /// Registers waiter → target for a policy-approved join. Checks for a cycle
-  /// only if probation edges are live (see header comment).
+  /// only if probation or owner edges are live, and takes no shared lock in
+  /// fast mode (see header comment).
   WaitVerdict add_wait(NodeId waiter, NodeId target,
                        std::vector<NodeId>* cycle = nullptr);
 
@@ -101,9 +127,11 @@ class WaitsForGraph {
   /// may create. The graph therefore tolerates live cycles: every other
   /// entry point bounds its chain walks, and find_all_cycles() is the
   /// authoritative ground-truth scan the detector confirms against.
+  /// Lock-free in fast mode, like add_wait.
   void add_unchecked_wait(NodeId waiter, NodeId target);
 
   /// Removes the waiter's edge once its join completed (or was aborted).
+  /// Lock-free in fast mode.
   void remove_wait(NodeId waiter);
 
   /// Registers the persistent owner edge promise → owner for a freshly made
@@ -150,25 +178,55 @@ class WaitsForGraph {
     NodeId target;
     EdgeKind kind;
   };
+  using EdgeMap = std::unordered_map<NodeId, Edge>;
 
-  // Pre: lock held. True iff target ⇝ waiter through current edges; when so
-  // and `cycle` is non-null, records [waiter, target, …] up to (excluding)
-  // the closing repeat of waiter.
+  static constexpr std::size_t kShards = 16;
+  struct alignas(64) Shard {
+    // Profiled ("wfg.shard"): contended entries are fast operations whose
+    // waiters share a shard, and their spin time.
+    obs::ProfiledSpinFlag busy{"wfg.shard"};
+    EdgeMap edges;  // fast side: under `busy`; slow side: under Exclusive
+  };
+
+  // The graph lock with the fast path shut (see header comment): while one
+  // lives, its holder owns every shard map.
+  class Exclusive;
+
+  static std::size_t shard_index(NodeId n) {
+    return static_cast<std::size_t>((n * 0x9E3779B97F4A7C15ull) >> 60);
+  }
+  EdgeMap& map_for(NodeId n) { return shards_[shard_index(n)].edges; }
+  const EdgeMap& map_for(NodeId n) const {
+    return shards_[shard_index(n)].edges;
+  }
+
+  // Runs `mutate` on the waiter's shard map without the graph lock when the
+  // graph is in fast mode; false (nothing done) when the caller must take
+  // the locked path instead.
+  template <typename F>
+  bool try_fast(NodeId waiter, F&& mutate);
+
+  // Pre: Exclusive held, for all helpers below.
+  const Edge* find_edge(NodeId from) const;
+  std::size_t edge_count_locked() const;
+  // Registers (or replaces) from's out-edge, keeping the kind counts exact.
+  void put_edge(NodeId from, Edge e);
+  void erase_edge(NodeId from);
+
+  // True iff target ⇝ waiter through current edges; when so and `cycle` is
+  // non-null, records [waiter, target, …] up to (excluding) the closing
+  // repeat of waiter.
   bool closes_cycle(NodeId waiter, NodeId target,
                     std::vector<NodeId>* cycle = nullptr) const;
 
-  // Pre: lock held. Approved insertions are unchecked only while the graph
-  // holds no edge class TJ's soundness does not cover.
-  bool fast_path() const { return probation_ == 0 && owner_edges_ == 0; }
-
-  void erase_edge_locked(NodeId from);
-
-  // Profiled ("wfg.graph"): with the gate locks, the serialization ROADMAP
-  // item 1 targets — its contended share is the number to watch.
+  // Profiled ("wfg.graph"): held by every checked operation, every walk and
+  // scan, and by fast operations that found the graph in slow mode.
   mutable obs::ProfiledMutex mu_{"wfg.graph"};
-  std::unordered_map<NodeId, Edge> edges_;  // guarded by mu_
+  std::array<Shard, kShards> shards_;
   std::size_t probation_ = 0;               // guarded by mu_
   std::size_t owner_edges_ = 0;             // guarded by mu_
+  // Zero iff fast mode; written only under mu_ (see header comment).
+  mutable std::atomic<std::size_t> slow_{0};
   std::atomic<std::uint64_t> cycle_checks_{0};  // relaxed; written under mu_
 };
 

@@ -136,6 +136,44 @@ TEST(ContentionWrapper, WaitsLandOnTheContendedSiteOnly) {
   EXPECT_EQ(h.uncontended + h.contended, h.acquisitions);
 }
 
+TEST(ContentionWrapper, SpinFlagFollowsTheCostContract) {
+  ASSERT_FALSE(obs::contention_profiling_enabled())
+      << "another retainer is live; the off-contract cannot be tested";
+  obs::ProfiledSpinFlag inert("test.spin-inert");
+  for (int i = 0; i < 100; ++i) {
+    std::scoped_lock lk(inert);
+  }
+  EXPECT_EQ(inert.site(), nullptr);
+
+  ContentionEnableGuard on(true);
+  obs::ProfiledSpinFlag flag("test.spin");
+  {
+    std::scoped_lock lk(flag);
+    EXPECT_TRUE(flag.held());
+  }
+  EXPECT_FALSE(flag.held());
+  // A second holder spins while this thread keeps the flag.
+  std::atomic<bool> arrived{false};
+  flag.lock();
+  std::thread spinner([&] {
+    arrived.store(true);
+    std::scoped_lock lk(flag);
+  });
+  while (!arrived.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  flag.unlock();
+  spinner.join();
+
+  SiteSnapshot snap;
+  ASSERT_TRUE(find_site("test.spin", snap));
+  EXPECT_EQ(snap.acquisitions, 3u);
+  EXPECT_EQ(snap.uncontended + snap.contended, snap.acquisitions);
+  EXPECT_GE(snap.contended, 1u);  // the spinner
+  EXPECT_EQ(snap.wait.count, snap.contended);
+  EXPECT_GT(snap.wait.sum_ns, 0u);
+  EXPECT_EQ(snap.hold.count, 0u);  // spin holds are never timed
+}
+
 TEST(ContentionWrapper, LongContendedHoldIsRecordedAtUnlock) {
   ContentionEnableGuard on(true);
   ProfiledMutex mu("test.long-hold");
@@ -372,6 +410,57 @@ TEST(ContentionRuntime, SpawnsTakeTheProfiledCancelScopeStripes) {
   ASSERT_TRUE(find_site("runtime.cancel_scope", site));
   EXPECT_EQ(site.acquisitions, site.contended + site.uncontended);
   EXPECT_GE(site.acquisitions - before, 128u);
+}
+
+TEST(ContentionRuntime, ApprovedJoinEdgesSkipTheGraphLock) {
+  // A futures-only TJ-SP run: every join is approved, so its wait edge goes
+  // through the WFG's fast path (the wfg.shard flags), never wfg.graph.
+  const std::uint64_t graph_before = acquisitions("wfg.graph");
+  const std::uint64_t shard_before = acquisitions("wfg.shard");
+  runtime::Runtime rt(observed());
+  const std::uint64_t sum = rt.root([] {
+    std::uint64_t acc = 0;
+    std::vector<runtime::Future<std::uint64_t>> fs;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      // Still running (or still queued) when the root joins it, so every
+      // join registers a wait edge, whether it blocks or inlines the task.
+      fs.push_back(runtime::async([i] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return i;
+      }));
+    }
+    for (auto& f : fs) acc += f.get();
+    return acc;
+  });
+  EXPECT_EQ(sum, 7u * 8u / 2);
+  EXPECT_EQ(acquisitions("wfg.graph"), graph_before);
+  EXPECT_GT(acquisitions("wfg.shard"), shard_before);
+}
+
+TEST(ContentionRuntime, ColdRuntimeLocksAreProfiledSites) {
+  // Each formerly bare runtime lock is a named site once a run uses it.
+  runtime::Config cfg = observed();
+  cfg.policy = core::PolicyChoice::KJ_VC;
+  cfg.record_trace = true;
+  const std::uint64_t promises_before = acquisitions("runtime.promises");
+  const std::uint64_t trace_before = acquisitions("runtime.trace");
+  const std::uint64_t gc_before = acquisitions("kj-vc.gc");
+  const std::uint64_t cancel_before = acquisitions("runtime.cancel_state");
+  runtime::Runtime rt(cfg);
+  const int got = rt.root([] {
+    runtime::CancellationScope scope;  // registers with the root's scope
+    auto p = runtime::make_promise<int>();
+    auto child = runtime::async_owning(p, [p] {
+      p.fulfill(20);
+      return 1;
+    });
+    return p.get() + child.get() + runtime::async([] { return 1; }).get();
+  });
+  EXPECT_EQ(got, 22);
+  EXPECT_GT(acquisitions("runtime.promises"), promises_before);
+  EXPECT_GT(acquisitions("runtime.trace"), trace_before);
+  EXPECT_GT(acquisitions("kj-vc.gc"), gc_before);
+  EXPECT_GT(acquisitions("runtime.cancel_state"), cancel_before);
 }
 
 TEST(ContentionRuntime, ObsOffRuntimeDoesNotRetainProfiling) {

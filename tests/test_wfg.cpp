@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "wfg/waits_for_graph.hpp"
@@ -178,6 +187,365 @@ TEST(WfgScan, SelfLoopViaDirectInsertion) {
   const auto cycles = g.find_all_cycles();
   ASSERT_EQ(cycles.size(), 1u);
   EXPECT_EQ(cycles[0], std::vector<NodeId>{9});
+}
+
+// --- fast path: racing inserts across a cycle ------------------------------
+
+// Two-party barrier, reusable round after round. After start(), the parties
+// leave together: the last to arrive sets a start time a few microseconds
+// ahead and both busy-wait for it, however late the first one notices the
+// release.
+class RoundBarrier {
+ public:
+  void wait() { arrive(); }
+
+  void start() {
+    const std::int64_t at = arrive();
+    while (now_ns() < at) {
+    }
+  }
+
+ private:
+  static std::int64_t now_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+
+  // Returns the start time the last party set.
+  std::int64_t arrive() {
+    const int phase = phase_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) == 1) {
+      arrived_.store(0, std::memory_order_relaxed);
+      start_ns_.store(now_ns() + 10'000, std::memory_order_relaxed);
+      phase_.store(phase + 1, std::memory_order_release);
+    } else {
+      obs::SpinWait spin;
+      while (phase_.load(std::memory_order_acquire) == phase) spin.once();
+    }
+    return start_ns_.load(std::memory_order_relaxed);
+  }
+
+  std::atomic<int> arrived_{0};
+  std::atomic<int> phase_{0};
+  std::atomic<std::int64_t> start_ns_{0};
+};
+
+// Busy-waits for a round-dependent time between none and about a
+// microsecond, so the two racers of a round meet in every relative order.
+void jitter(int seed) {
+  std::atomic<int> sink{0};
+  for (int i = 0; i < seed % 128; ++i) {
+    sink.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// Runs kRounds rounds in which `a` (this thread) and `b` (a helper thread)
+// each insert one edge of a cycle at the same moment. Every round exactly
+// one of the two inserts must be Added: both Added would be an approved
+// cycle, neither would mean a rejected edge was left in the graph. `setup`
+// and `reset` run alone before and after each round; `reset` must leave the
+// graph empty.
+template <typename Setup, typename A, typename B, typename Reset>
+void race_cycle_closers(WaitsForGraph& g, Setup setup, A a, B b,
+                        Reset reset) {
+  constexpr int kRounds = 20000;
+  RoundBarrier barrier;
+  WaitVerdict vb = WaitVerdict::Added;
+  std::atomic<bool> stop{false};
+  std::thread helper([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      barrier.start();
+      if (stop.load(std::memory_order_relaxed)) return;
+      jitter(r * 13);
+      vb = b();
+      barrier.wait();  // both inserted
+    }
+  });
+  int a_added = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    setup();
+    const bool failed = ::testing::Test::HasFailure();
+    if (failed) stop.store(true, std::memory_order_relaxed);
+    barrier.start();
+    if (failed) break;
+    jitter(r * 7);
+    const WaitVerdict va = a();
+    barrier.wait();
+    const int added = (va == WaitVerdict::Added) + (vb == WaitVerdict::Added);
+    EXPECT_EQ(added, 1) << "round " << r;
+    a_added += va == WaitVerdict::Added;
+    reset();
+    EXPECT_EQ(g.edge_count(), 0u) << "round " << r;
+    EXPECT_EQ(g.probation_count(), 0u) << "round " << r;
+    EXPECT_EQ(g.owner_edge_count(), 0u) << "round " << r;
+  }
+  helper.join();
+  // Which insert wins is up to timing, and to whether the two threads got
+  // CPUs of their own, so the split is printed, not asserted.
+  std::printf("approved insert won %d of %d rounds\n", a_added, kRounds);
+}
+
+TEST(WfgFastPath, ApprovedEdgeRacingAProbationEdgeNeverClosesACycle) {
+  // A → B is approved (fast path: the graph is empty when the round
+  // starts); B → A is policy-rejected and cycle-checked under the lock.
+  WaitsForGraph g;
+  constexpr NodeId kA = 11;
+  constexpr NodeId kB = 12;
+  race_cycle_closers(
+      g, [] {}, [&] { return g.add_wait(kA, kB); },
+      [&] { return g.add_probation_wait(kB, kA); },
+      [&] {
+        g.remove_wait(kA);
+        g.remove_wait(kB);
+      });
+}
+
+TEST(WfgFastPath, ApprovedEdgeRacingAnOwnerEdgeNeverClosesACycle) {
+  // The mixed cycle W → P → O → W. W already awaits promise P (approved,
+  // added on the fast path); then O joins W (approved) while P's ownership
+  // moves to O (the checked owner insert).
+  WaitsForGraph g;
+  constexpr NodeId kW = 21;
+  constexpr NodeId kO = 22;
+  const NodeId kP = promise_node_id(7);
+  race_cycle_closers(
+      g, [&] { EXPECT_EQ(g.add_wait(kW, kP), WaitVerdict::Added); },
+      [&] { return g.add_wait(kO, kW); },
+      [&] { return g.retarget_owner_edge(kP, kO); },
+      [&] {
+        g.remove_wait(kO);
+        g.remove_wait(kW);
+        g.remove_owner_edge(kP);
+      });
+}
+
+// --- differential check against a reference functional graph ---------------
+
+// Test-only reference: one out-edge per node in an ordered map, with the
+// intended semantics of every mutator spelled out directly (no modes, no
+// shards, no locks). An insert for a node that already has an edge replaces
+// it.
+class ModelGraph {
+ public:
+  using Kind = WaitsForGraph::EdgeKind;
+  using EdgeList = std::vector<std::tuple<NodeId, NodeId, Kind>>;
+
+  // Approved inserts are checked only while a probation or owner edge is
+  // live, like the graph's.
+  WaitVerdict add_wait(NodeId w, NodeId t, std::vector<NodeId>* cycle) {
+    if (!slow()) {
+      edges_[w] = {t, Kind::Approved};
+      return WaitVerdict::Added;
+    }
+    return checked_put(w, t, Kind::Approved, cycle);
+  }
+  WaitVerdict add_probation_wait(NodeId w, NodeId t,
+                                 std::vector<NodeId>* cycle) {
+    return checked_put(w, t, Kind::Probation, cycle);
+  }
+  WaitVerdict add_checked_wait(NodeId w, NodeId t,
+                               std::vector<NodeId>* cycle) {
+    return checked_put(w, t, Kind::Approved, cycle);
+  }
+  void add_unchecked_wait(NodeId w, NodeId t) {
+    edges_[w] = {t, Kind::Approved};
+  }
+  void remove(NodeId n) { edges_.erase(n); }
+  void add_owner_edge(NodeId p, NodeId o) { edges_[p] = {o, Kind::Owner}; }
+  WaitVerdict retarget_owner_edge(NodeId p, NodeId o,
+                                  std::vector<NodeId>* cycle) {
+    return checked_put(p, o, Kind::Owner, cycle);
+  }
+
+  bool slow() const {
+    return count(Kind::Probation) + count(Kind::Owner) != 0;
+  }
+  std::size_t size() const { return edges_.size(); }
+  std::size_t count(Kind k) const {
+    std::size_t n = 0;
+    for (const auto& [from, e] : edges_) n += e.kind == k;
+    return n;
+  }
+  bool has(NodeId n) const { return edges_.contains(n); }
+  std::uint64_t checks() const { return checks_; }
+
+  // The graph's chain_from, including its cap on a walk that orbits a
+  // cycle (at most edge count + 2 nodes).
+  std::vector<NodeId> chain_from(NodeId from) const {
+    std::vector<NodeId> out{from};
+    for (auto it = edges_.find(from); it != edges_.end();
+         it = edges_.find(out.back())) {
+      if (out.size() > edges_.size() + 1) break;
+      out.push_back(it->second.to);
+    }
+    return out;
+  }
+
+  EdgeList edge_list() const {
+    EdgeList out;
+    for (const auto& [from, e] : edges_) out.emplace_back(from, e.to, e.kind);
+    return out;
+  }
+
+  // Every cycle once, each rotated to start at its smallest node.
+  std::set<std::vector<NodeId>> cycles() const {
+    std::set<std::vector<NodeId>> out;
+    for (const auto& [start, e] : edges_) {
+      if (auto c = path_back(start, e.to)) out.insert(canonical(*c));
+    }
+    return out;
+  }
+
+  static std::vector<NodeId> canonical(std::vector<NodeId> c) {
+    std::rotate(c.begin(), std::min_element(c.begin(), c.end()), c.end());
+    return c;
+  }
+
+ private:
+  struct Edge {
+    NodeId to;
+    Kind kind;
+  };
+
+  // [w, t, …] when the chain from t reaches w (a foreign cycle ends it).
+  std::optional<std::vector<NodeId>> path_back(NodeId w, NodeId t) const {
+    std::vector<NodeId> path{w};
+    std::set<NodeId> seen;
+    for (NodeId cur = t; cur != w;) {
+      if (!seen.insert(cur).second) return std::nullopt;
+      path.push_back(cur);
+      const auto it = edges_.find(cur);
+      if (it == edges_.end()) return std::nullopt;
+      cur = it->second.to;
+    }
+    return path;
+  }
+
+  WaitVerdict checked_put(NodeId w, NodeId t, Kind k,
+                          std::vector<NodeId>* cycle) {
+    ++checks_;
+    if (auto c = path_back(w, t)) {
+      *cycle = std::move(*c);
+      return WaitVerdict::WouldDeadlock;
+    }
+    edges_[w] = {t, k};
+    return WaitVerdict::Added;
+  }
+
+  std::map<NodeId, Edge> edges_;
+  std::uint64_t checks_ = 0;
+};
+
+// Applies seeded random sequences of all eight mutators to the graph and
+// to the model and compares everything observable after every step. Owner
+// and probation edges come and go often, so the graph crosses between fast
+// and slow mode many times per sequence. Comparing edge_count() and edges()
+// also covers what the governor's max_wfg_edges budget and the SIGUSR1
+// introspection dump read, fast-path edges included.
+TEST(WfgModel, RandomSequencesMatchTheReferenceGraph) {
+  const std::vector<NodeId> tasks{1, 2, 3, 4, 5};
+  const std::vector<NodeId> promises{promise_node_id(1), promise_node_id(2)};
+  std::vector<NodeId> nodes = tasks;
+  nodes.insert(nodes.end(), promises.begin(), promises.end());
+
+  std::size_t fast_steps = 0;
+  std::size_t slow_steps = 0;
+  std::size_t mode_changes = 0;
+  std::size_t deadlocks = 0;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    WaitsForGraph g;
+    ModelGraph m;
+    std::mt19937 rng(seed);
+    const auto pick = [&rng](const std::vector<NodeId>& from) {
+      return from[std::uniform_int_distribution<std::size_t>(
+          0, from.size() - 1)(rng)];
+    };
+    for (int step = 0; step < 400; ++step) {
+      const bool was_slow = m.slow();
+      (was_slow ? slow_steps : fast_steps) += 1;
+      const NodeId w = pick(tasks);
+      const NodeId t = pick(nodes);
+      const NodeId p = pick(promises);
+      std::vector<NodeId> got_cycle;
+      std::vector<NodeId> want_cycle;
+      std::optional<WaitVerdict> got;
+      std::optional<WaitVerdict> want;
+      const int op = std::uniform_int_distribution<int>(0, 12)(rng);
+      switch (op) {
+        case 0:
+        case 1:
+          got = g.add_wait(w, t, &got_cycle);
+          want = m.add_wait(w, t, &want_cycle);
+          break;
+        case 2:
+          got = g.add_probation_wait(w, t, &got_cycle);
+          want = m.add_probation_wait(w, t, &want_cycle);
+          break;
+        case 3:
+          got = g.add_checked_wait(w, t, &got_cycle);
+          want = m.add_checked_wait(w, t, &want_cycle);
+          break;
+        case 4:
+          g.add_unchecked_wait(w, t);
+          m.add_unchecked_wait(w, t);
+          break;
+        case 5:
+        case 6:
+        case 7:
+          g.remove_wait(w);
+          m.remove(w);
+          break;
+        case 8:
+          g.add_owner_edge(p, w);
+          m.add_owner_edge(p, w);
+          break;
+        case 9:
+          got = g.retarget_owner_edge(p, w, &got_cycle);
+          want = m.retarget_owner_edge(p, w, &want_cycle);
+          break;
+        default:
+          g.remove_owner_edge(p);
+          m.remove(p);
+          break;
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " step " << step << " op " << op);
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(got_cycle, want_cycle);
+      deadlocks += want == WaitVerdict::WouldDeadlock;
+      mode_changes += was_slow != m.slow();
+
+      ASSERT_EQ(g.edge_count(), m.size());
+      ASSERT_EQ(g.probation_count(), m.count(ModelGraph::Kind::Probation));
+      ASSERT_EQ(g.owner_edge_count(), m.count(ModelGraph::Kind::Owner));
+      ASSERT_EQ(g.cycle_checks(), m.checks());
+      for (const NodeId n : nodes) {
+        ASSERT_EQ(g.is_waiting(n), m.has(n)) << "node " << n;
+        ASSERT_EQ(g.chain_from(n), m.chain_from(n)) << "node " << n;
+      }
+      ModelGraph::EdgeList got_edges;
+      for (const WaitsForGraph::EdgeView& e : g.edges()) {
+        got_edges.emplace_back(e.from, e.to, e.kind);
+      }
+      std::sort(got_edges.begin(), got_edges.end());
+      ASSERT_EQ(got_edges, m.edge_list());
+      std::set<std::vector<NodeId>> got_cycles;
+      for (std::vector<NodeId>& c : g.find_all_cycles()) {
+        ASSERT_TRUE(
+            got_cycles.insert(ModelGraph::canonical(std::move(c))).second);
+      }
+      ASSERT_EQ(got_cycles, m.cycles());
+    }
+  }
+  // The sequences exercised what they are meant to.
+  EXPECT_GT(fast_steps, 2000u);
+  EXPECT_GT(slow_steps, 2000u);
+  EXPECT_GT(mode_changes, 500u);
+  EXPECT_GT(deadlocks, 100u);
+  std::printf("%zu fast-mode steps, %zu slow-mode steps, %zu mode changes, "
+              "%zu WouldDeadlock verdicts\n",
+              fast_steps, slow_steps, mode_changes, deadlocks);
 }
 
 }  // namespace
